@@ -47,8 +47,8 @@ from repro.core.sqrt_approx import sqrt_approx_schedule
 from repro.exceptions import InvalidInstanceError
 from repro.graphs.bipartite import BipartiteGraph
 from repro.graphs.structure import (
-    analyze_structure,
     as_bipartite_graph,
+    complete_bipartite_parts_with_free,
     is_bipartite_structure,
     is_block_structure,
     multipartite_decomposition,
@@ -233,8 +233,7 @@ class Capability:
                 f"{instance.graph.edge_count} edge(s))"
             )
         if self.graph == "complete_bipartite":
-            structure = analyze_structure(instance.graph)
-            if structure.complete_bipartite_free is None:
+            if complete_bipartite_parts_with_free(instance.graph) is None:
                 reasons.append(
                     "requires K_{a,b} plus isolated vertices"
                 )
@@ -344,7 +343,7 @@ class AlgorithmSpec:
             # only consult an *explicit* predicate narrower than the
             # capability — the derived applies IS capability.check, and
             # re-running it would double every explain pass (including
-            # the analyze_structure graph scan)
+            # its graph-class scans)
             if ok and not derived and not self.applies(instance):
                 return False, ("rejected by the applies predicate",)
             return ok, reasons

@@ -1,9 +1,11 @@
 """Maximum flow / minimum cut via Dinic's algorithm.
 
-This is the substrate behind the maximum-*weight* independent set needed in
-step 2 of Algorithm 1 (the paper cites Orlin [22] for an ``O(|J||E|)`` max
-flow; Dinic's ``O(V^2 E)`` — ``O(E sqrt(V))`` on unit-capacity bipartite
-networks — is more than sufficient at reproduction scale and is exact).
+A general-purpose max-flow on arbitrary directed networks (Dinic's
+``O(V^2 E)``, ``O(E sqrt(V))`` on unit-capacity bipartite networks;
+the paper cites Orlin [22] for an ``O(|J||E|)`` max flow).  Algorithm 1's
+maximum-weight independent set does not run through it: that cut has
+its own bipartite max-flow in :mod:`repro.graphs.vertex_cover`, and this
+class is the independent reference that the cover is tested against.
 
 Capacities are non-negative integers; ``INF`` models uncuttable edges.
 """
@@ -14,8 +16,9 @@ from collections import deque
 
 __all__ = ["FlowNetwork", "max_flow_min_cut", "INF"]
 
-#: Effectively infinite capacity: larger than any sum of finite capacities
-#: used in this package (total job weight is bounded well below this).
+#: A large finite capacity standing in for "infinite".  It is uncuttable
+#: only while the total finite capacity of the network stays below it;
+#: callers must keep it so, or pass a larger capacity of their own.
 INF = 1 << 60
 
 

@@ -281,18 +281,13 @@ def complete_bipartite_parts_with_free(
     if not active:
         return [], [], free
     if isinstance(graph, BipartiteGraph):
-        # a complete bipartite graph is connected, so all active vertices
-        # must share one component; the parts are the two coloring classes
-        comps = [c for c in connected_components(graph) if len(c) > 1]
-        if len(comps) != 1:
-            return None
-        left = [v for v in comps[0] if graph.side[v] == 0]
-        right = [v for v in comps[0] if graph.side[v] == 1]
-        # completeness: every left vertex sees every right vertex.
-        # Comparing degree to |other part| suffices (no multi-edges).
-        if any(graph.degree(v) != len(right) for v in left):
-            return None
-        if any(graph.degree(v) != len(left) for v in right):
+        # the parts are the two coloring classes of the active vertices.
+        # Every edge joins an active left vertex to an active right one
+        # and there are no multi-edges, so exactly a * b edges means every
+        # such pair is present (which also makes the active part connected)
+        left = [v for v in active if graph.side[v] == 0]
+        right = [v for v in active if graph.side[v] == 1]
+        if len(left) * len(right) != graph.edge_count:
             return None
         return left, right, free
     mp = multipartite_decomposition(graph)

@@ -178,11 +178,16 @@ class UniformInstance(SchedulingInstance):
                 return mask
         return frozenset(range(self.m))
 
+    def allows(self, machine: int, job: int) -> bool:
+        # a mask lookup: the inherited form would divide a Fraction
+        if self.eligible is None:
+            return True
+        mask = self.eligible[job]
+        return mask is None or machine in mask
+
     def processing_time(self, machine: int, job: int) -> Fraction | None:
-        if self.eligible is not None:
-            mask = self.eligible[job]
-            if mask is not None and machine not in mask:
-                return None
+        if not self.allows(machine, job):
+            return None
         return Fraction(self.p[job]) / self.speeds[machine]
 
     def machine_completion(self, machine: int, jobs: Iterable[int]) -> Fraction:
@@ -222,15 +227,18 @@ class UniformInstance(SchedulingInstance):
         translate to forbidden (``None``) time entries.
         """
         idx = list(range(self.m)) if machines is None else list(machines)
-        times = [
-            [
-                Fraction(self.p[j]) / self.speeds[i]
-                if self.allows(i, j)
-                else None
-                for j in range(self.n)
-            ]
-            for i in idx
-        ]
+        distinct = set(self.p)
+        times: list[list[Fraction | None]] = []
+        for i in idx:
+            speed = self.speeds[i]
+            # one division per distinct p_j on this machine
+            by_p = {pj: Fraction(pj) / speed for pj in distinct}
+            row: list[Fraction | None] = [by_p[pj] for pj in self.p]
+            if self.eligible is not None:
+                for j in range(self.n):
+                    if not self.allows(i, j):
+                        row[j] = None
+            times.append(row)
         return UnrelatedInstance(self.graph, times)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -220,6 +220,32 @@ def test_property_complete_bipartite_roundtrip(a, b):
     assert sorted(map(len, parts)) == sorted([a, b])
 
 
+@settings(max_examples=150, deadline=None)
+@given(
+    sides=st.lists(st.integers(0, 1), max_size=9),
+    data=st.data(),
+)
+def test_property_with_free_matches_pairwise_definition(sides, data):
+    """On a BipartiteGraph the decomposition exists exactly when every
+    active left vertex sees every active right vertex, and then the parts
+    are the sorted side classes of the active vertices."""
+    n = len(sides)
+    cross = [(u, v) for u in range(n) for v in range(u + 1, n)
+             if sides[u] != sides[v]]
+    edges = data.draw(st.lists(st.sampled_from(cross), unique=True)) if cross else []
+    g = BipartiteGraph(n, edges, sides)
+    active = [v for v in range(n) if g.degree(v) > 0]
+    left = [v for v in active if sides[v] == 0]
+    right = [v for v in active if sides[v] == 1]
+    complete = all(g.has_edge(u, v) for u in left for v in right)
+    free = [v for v in range(n) if g.degree(v) == 0]
+    result = complete_bipartite_parts_with_free(g)
+    if complete:
+        assert result == (left, right, free)
+    else:
+        assert result is None
+
+
 @settings(max_examples=40, deadline=None)
 @given(n=st.integers(2, 24), seed=st.integers(0, 1000))
 def test_property_random_trees_are_forests(n, seed):

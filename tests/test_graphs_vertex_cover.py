@@ -5,6 +5,7 @@ import pytest
 
 from repro.graphs.bipartite import BipartiteGraph
 from repro.graphs.generators import complete_bipartite, matching_graph, path_graph, star
+from repro.graphs.independent_set import max_weight_independent_set
 from repro.graphs.matching import maximum_matching_size
 from repro.graphs.vertex_cover import (
     is_vertex_cover,
@@ -79,6 +80,16 @@ class TestWeightedCover:
 
     def test_empty_graph(self):
         assert min_weight_vertex_cover(BipartiteGraph(0, []), []) == set()
+
+    def test_weights_beyond_two_to_the_sixty(self):
+        # an edge capacity of 2**60 standing in for "infinite" would be
+        # the cheaper cut here, leaving the edge uncovered
+        g = BipartiteGraph(2, [(0, 1)], [0, 1])
+        cover = min_weight_vertex_cover(g, [2**61, 2**61])
+        assert cover == {0}
+        independent = max_weight_independent_set(g, [2**61, 2**61])
+        assert g.is_independent_set(independent)
+        assert independent == {1}
 
     def test_complete_bipartite_takes_smaller_side(self):
         g = complete_bipartite(2, 6)

@@ -97,6 +97,48 @@ class TestToUnrelated:
         assert r.times[1][0] == Fraction(2)
 
 
+    @pytest.mark.parametrize(
+        "eligible",
+        [None, [[0, 2], None, [1], [0, 1, 2], [2]]],
+        ids=["unmasked", "masked"],
+    )
+    def test_entries_exact_and_forbidden_where_masked(self, eligible):
+        g = path_graph(5)
+        speeds = [Fraction(7, 2), 3, Fraction(4, 3)]
+        inst = UniformInstance(g, [6, 4, 6, 19, 1], speeds, eligible=eligible)
+        for machines in (None, [1, 2], [2, 1, 0]):
+            r = inst.to_unrelated(machines)
+            idx = range(inst.m) if machines is None else machines
+            for row, i in zip(r.times, idx):
+                for j, t in enumerate(row):
+                    if inst.allows(i, j):
+                        assert t == Fraction(inst.p[j]) / inst.speeds[i]
+                        assert type(t) is Fraction
+                    else:
+                        assert t is None
+
+
+class TestAllows:
+    @pytest.mark.parametrize(
+        "eligible",
+        [None, [[0, 2], None, [1], [0, 1, 2]]],
+        ids=["unmasked", "masked"],
+    )
+    def test_matches_processing_time(self, eligible):
+        inst = UniformInstance(
+            path_graph(4), [3, 1, 2, 4], [3, 2, 1], eligible=eligible
+        )
+        for i in range(inst.m):
+            for j in range(inst.n):
+                assert inst.allows(i, j) == (inst.processing_time(i, j) is not None)
+
+    def test_masked_pairs_forbidden(self):
+        inst = UniformInstance(path_graph(2), [1, 1], [2, 1], eligible=[[1], None])
+        assert not inst.allows(0, 0)
+        assert inst.allows(1, 0)
+        assert inst.allows(0, 1) and inst.allows(1, 1)
+
+
 class TestUnrelatedInstance:
     def test_basic(self):
         g = matching_graph(1)

@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from repro.exceptions import InvalidScheduleError
@@ -9,6 +10,8 @@ from repro.graphs.bipartite import BipartiteGraph
 from repro.graphs.generators import matching_graph, path_graph
 from repro.scheduling.instance import UniformInstance, UnrelatedInstance
 from repro.scheduling.schedule import Schedule, schedule_from_groups
+
+from tests.conftest import random_bipartite
 
 
 def simple_instance(m: int = 2) -> UniformInstance:
@@ -103,3 +106,55 @@ class TestEquality:
     def test_different_assignment_unequal(self):
         inst = UniformInstance(matching_graph(1), [1, 1], [1, 1])
         assert Schedule(inst, [0, 1]) != Schedule(inst, [1, 0])
+
+
+def listed_violations(s: Schedule) -> list[str]:
+    """The full per-machine listing, written out independently."""
+    inst = s.instance
+    problems = []
+    for i, jobs in enumerate(s.machine_groups()):
+        problems += [
+            f"job {j} forbidden on machine {i}"
+            for j in jobs
+            if inst.processing_time(i, j) is None
+        ]
+        for j in jobs:
+            for other in inst.graph.neighbors(j) & set(jobs):
+                if j < other:
+                    problems.append(
+                        f"incompatible jobs {j} and {other} share machine {i}"
+                    )
+    return problems
+
+
+class TestViolationsListing:
+    """Every assignment, feasible or not, gets the full listing (in
+    order, with the same wording) whatever the instance can forbid."""
+
+    @pytest.mark.parametrize("kind", ["uniform", "masked", "unrelated"])
+    def test_matches_listing_on_random_assignments(self, kind):
+        rng = np.random.default_rng(21)
+        for _ in range(60):
+            g = random_bipartite(rng, max_side=5)
+            m = int(rng.integers(2, 4))
+            if kind == "unrelated":
+                times = [
+                    [None if rng.random() < 0.3 else int(rng.integers(1, 5))
+                     for _ in range(g.n)]
+                    for _ in range(m)
+                ]
+                for j in range(g.n):
+                    times[int(rng.integers(m))][j] = 1
+                inst = UnrelatedInstance(g, times)
+            else:
+                eligible = None
+                if kind == "masked":
+                    eligible = [
+                        None if rng.random() < 0.4
+                        else sorted({int(x) for x in rng.integers(0, m, 2)})
+                        for _ in range(g.n)
+                    ]
+                inst = UniformInstance(g, [1] * g.n, [1] * m, eligible=eligible)
+            s = Schedule(inst, [int(x) for x in rng.integers(0, m, g.n)], check=False)
+            assert s.violations() == listed_violations(s)
+            assert s.is_feasible() == (not listed_violations(s))
