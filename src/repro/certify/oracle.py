@@ -15,9 +15,11 @@ paper's exact results target, with four ingredients:
    :func:`~repro.scheduling.bounds.unrelated_lower_bound`), optimality
    is proven with zero search nodes;
 3. **partial-assignment pruning** — at every node the residual demand
-   must fit the rounded-down residual capacities
-   (:func:`~repro.scheduling.bounds.min_cover_time_with_loads`), and
-   every unassigned job must still have a conflict-free machine whose
+   must fit the rounded-down residual capacities below the incumbent
+   (the bound :func:`~repro.scheduling.bounds.min_cover_time_with_loads`
+   computes, decided here by an O(m) integer test, see below), the
+   unrelated residual volume must fit ``m`` machines, and every
+   unassigned job must still have a conflict-free machine whose
    completion stays below the incumbent;
 4. **component decomposition**
    (:func:`repro.graphs.components.connected_components`) — branching
@@ -29,13 +31,24 @@ paper's exact results target, with four ingredients:
 The result is a :class:`OracleResult` carrying the proof method and the
 node count, so certification reports can show *why* a value is optimal.
 
-The search inner loop memoizes everything that never changes during the
-search — per-job neighbour sets, the suffix of cheapest eligible
-processing times behind the unrelated volume bound, and the
-identical-machine-row classes behind the empty-machine symmetry break —
-instead of recomputing them at every node; the pre-optimization loop is
-preserved as :func:`repro.perf.baselines.certified_optimal_baseline`
-(same search tree, measured by ``repro perf --target oracle``).
+**Exact scaled integers.**  The search never touches a ``Fraction``
+per node.  With ``quantum`` the lcm of the speed numerators (uniform)
+or of the processing-time denominators (unrelated), every processing
+time, completion and tail span times ``quantum`` is an integer; the
+search keeps completions as those ints, machine job sets as bitmasks,
+and the incumbent ``best`` as ``ceil(best * quantum)``, which decides
+``C < best`` exactly for every grid value ``C``.  The uniform capacity
+prune ``min_cover_time_with_loads(speeds, loads, demand) >= best``
+becomes ``sum_i max(0, c_i - load_i) < demand`` with thresholds
+``c_i = ceil(s_i * best) - 1`` recomputed only when the incumbent
+improves: ``residual(T) = sum_i max(0, floor(s_i * T) - load_i)`` is
+non-decreasing and right-continuous, ``floor(s_i * (best - eps)) =
+c_i``, and the test runs only once the frontier ``max_i load_i / s_i``
+is known to lie below ``best``, so some ``T < best`` covers the demand
+exactly when ``residual(best-) >= demand``.  The search tree is the
+one the rational reference
+:func:`repro.perf.baselines.certified_optimal_baseline` explores, node
+for node (measured by ``repro perf --target oracle``).
 
 **Parallel certified search.**  ``certified_optimal(instance,
 workers=k)`` with ``k > 1`` root-splits the branch and bound: the first
@@ -44,15 +57,15 @@ expanded into independent subtree tasks (mirroring the search's own
 viability, empty-machine-symmetry and incumbent filters, so the union
 of subtrees covers exactly the sequential tree), which fan out over a
 :class:`~concurrent.futures.ProcessPoolExecutor`.  Workers share the
-incumbent makespan as a scaled 64-bit integer — the exact quantum is
-the lcm of the speed numerators (uniform) or of the processing-time
-denominators (unrelated), so no rounding is ever involved — through a
-:func:`multiprocessing.RawValue` guarded by a lock, polled every
-:data:`_PULL_EVERY` nodes and compare-and-swapped on improvement.  The
+search's own scaled incumbent integer ``best * quantum`` through a
+64-bit :func:`multiprocessing.RawValue` guarded by a lock, polled every
+:data:`_PULL_EVERY` nodes and compare-and-swapped on improvement, so no
+rounding and no ``Fraction`` is ever involved.  The
 returned makespan is bit-identical to the sequential search (both
 compute ``min(seed, OPT)`` exactly); node counts may differ because
 cross-worker incumbent propagation prunes differently.  A killed or
-crashed worker never changes the answer: its subtree is re-searched
+crashed worker never changes the answer: its subtree, and every
+subtree not yet handed out when the pool broke, is re-searched
 sequentially in the parent.  When parallelism cannot apply — a single
 root branch, no seed incumbent, an incumbent too large for the shared
 64-bit cell, or a daemonic caller such as a
@@ -66,7 +79,8 @@ from __future__ import annotations
 import math
 import multiprocessing
 import os
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any
@@ -80,7 +94,6 @@ from repro.scheduling.instance import (
     UnrelatedInstance,
 )
 from repro.scheduling.schedule import Schedule
-from repro.utils.rationals import floor_fraction
 from repro.certify.validators import instance_lower_bound
 
 __all__ = ["OracleResult", "certified_optimal", "certified_optimal_makespan"]
@@ -156,10 +169,12 @@ def _branch_order(instance: SchedulingInstance) -> tuple[list[int], list[int]]:
     Branched jobs are grouped by connected component (largest first, so
     the hardest conflicts bind early), within a component by descending
     processing requirement then degree.  The tail collects isolated
-    *unit* jobs of uniform instances — conflict-free and interchangeable,
-    they are finished exactly by the capacity bound instead of being
-    branched on.  For unrelated instances every job is branched (machine
-    eligibility makes isolated jobs non-interchangeable).
+    *unit* jobs of uniform instances that may run on every machine —
+    conflict-free and interchangeable, they are finished exactly by the
+    capacity bound instead of being branched on.  Every other job is
+    branched: the capacity bound knows nothing of eligibility, so a
+    masked job cannot join the tail, and on unrelated instances isolated
+    jobs are not interchangeable.
     """
     graph = instance.graph
     components = connected_components(graph)
@@ -178,15 +193,63 @@ def _branch_order(instance: SchedulingInstance) -> tuple[list[int], list[int]]:
             sorted(comp, key=lambda j: (-weight(j), -graph.degree(j)))
         )
     for j in sorted(singletons, key=lambda j: -weight(j)):
-        if uniform and instance.p[j] == 1:
+        if (
+            uniform
+            and instance.p[j] == 1
+            and len(instance.eligible_machines(j)) == instance.m
+        ):
             tail.append(j)
         else:
             branched.append(j)
     return branched, tail
 
 
+def _ceil_div(a: int, b: int) -> int:
+    return -(-a // b)
+
+
+def _cover_thresholds(
+    speed_scale: list[tuple[int, int]], num: int, den: int
+) -> list[int]:
+    """``ceil(s_i * best) - 1`` per machine, where ``best * quantum == num / den``.
+
+    That is ``floor(s_i * T)`` for every ``T`` just below ``best``: the
+    most integer units machine ``i`` finishes strictly before the
+    incumbent.  ``speed_scale`` holds ``(num_i, den_i * quantum)`` per
+    machine (see :class:`_SearchContext`).
+    """
+    return [_ceil_div(sn * num, sd * den) - 1 for sn, sd in speed_scale]
+
+
+def _capacity_prunes(
+    thresholds: list[int], loads: list[int], demand: int
+) -> bool:
+    """Whether the capacity bound reaches the incumbent: an O(m) int test.
+
+    Equal to ``min_cover_time_with_loads(speeds, loads, demand) >= best``
+    whenever the frontier ``max_i loads[i] / s_i`` lies below ``best``
+    (the search checks that first).  ``residual(T) = sum_i max(0,
+    floor(s_i * T) - loads[i])`` is a non-decreasing, right-continuous
+    step function, so some ``T`` in ``[frontier, best)`` covers
+    ``demand`` exactly when its left limit at ``best`` — the sum below,
+    over ``thresholds`` from :func:`_cover_thresholds` — does.
+    """
+    residual = 0
+    for c, load in zip(thresholds, loads):
+        if c > load:
+            residual += c - load
+    return residual < demand
+
+
 class _SearchContext:
     """Everything the branch and bound precomputes once per instance.
+
+    The search runs on exact scaled integers.  ``quantum`` is the lcm of
+    the speed numerators (uniform) or of the processing-time
+    denominators (unrelated), so every processing time, every reachable
+    completion time and every isolated-tail span times ``quantum`` is an
+    integer; ``times[i][j]`` holds that integer (``None`` for a
+    forbidden pair).  Neighbour sets are int bitmasks over job ids.
 
     Immutable during the search, so one context serves both the
     sequential path and (rebuilt from the serialised instance in
@@ -199,15 +262,19 @@ class _SearchContext:
         "m",
         "uniform",
         "speeds",
+        "speed_scale",
         "p",
+        "quantum",
         "times",
-        "neighbor_sets",
+        "options",
+        "neighbor_masks",
         "branched",
         "tail",
         "tail_units",
         "suffix_units",
         "suffix_cheapest",
         "earlier_identical",
+        "unbounded",
     )
 
     def __init__(self, instance: SchedulingInstance) -> None:
@@ -219,16 +286,50 @@ class _SearchContext:
             self.uniform = True
             self.speeds: tuple[Fraction, ...] = instance.speeds
             self.p: tuple[int, ...] = instance.p
+            quantum = math.lcm(*(s.numerator for s in self.speeds))
+            # grid steps per unit of work on machine i: quantum / s_i
+            steps = [quantum // s.numerator * s.denominator for s in self.speeds]
+            times: list[list[int | None]] = [
+                [
+                    self.p[j] * steps[i] if instance.allows(i, j) else None
+                    for j in range(n)
+                ]
+                for i in range(m)
+            ]
+            # floor(s_i * T) == (num_i * T * quantum) // (den_i * quantum)
+            self.speed_scale: list[tuple[int, int]] = [
+                (s.numerator, s.denominator * quantum) for s in self.speeds
+            ]
+            # no completion or tail span exceeds (sum(p) + m) / min(s)
+            self.unbounded = (sum(self.p) + m) * max(steps, default=1) + 1
         else:
             self.uniform = False
             self.speeds = ()
             self.p = ()
-        self.times: list[list[Fraction | None]] = [
-            [instance.processing_time(i, j) for j in range(n)] for i in range(m)
+            self.speed_scale = []
+            rational = [
+                [instance.processing_time(i, j) for j in range(n)] for i in range(m)
+            ]
+            quantum = math.lcm(
+                *(t.denominator for row in rational for t in row if t is not None)
+            )
+            times = [
+                [
+                    None if t is None else t.numerator * (quantum // t.denominator)
+                    for t in row
+                ]
+                for row in rational
+            ]
+        self.quantum = quantum
+        self.times = times
+        # per job, the (machine, scaled time) pairs it may run on
+        self.options: list[tuple[tuple[int, int], ...]] = [
+            tuple((i, t) for i in range(m) if (t := times[i][j]) is not None)
+            for j in range(n)
         ]
         graph = instance.graph
-        self.neighbor_sets: list[frozenset[int]] = [
-            graph.neighbors(j) for j in range(n)
+        self.neighbor_masks: list[int] = [
+            sum(1 << k for k in graph.neighbors(j)) for j in range(n)
         ]
         self.branched, self.tail = _branch_order(instance)
         self.tail_units = len(self.tail)  # all unit jobs
@@ -241,32 +342,27 @@ class _SearchContext:
             self.suffix_units: list[int] = [
                 u + self.tail_units for u in suffix_units
             ]
-            self.suffix_cheapest: list[Fraction] = []
+            self.suffix_cheapest: list[int] = []
         else:
             # residual volume after position k of the branched order, each
             # job billed at its cheapest eligible machine — static, so the
-            # per-node volume bound becomes one addition instead of an
-            # O((len(branched) - pos) * m) rescan
-            suffix_cheapest = [Fraction(0)] * (len(self.branched) + 1)
+            # per-node volume bound becomes one addition
+            suffix_cheapest = [0] * (len(self.branched) + 1)
             for k in range(len(self.branched) - 1, -1, -1):
-                j = self.branched[k]
                 cheapest = min(
-                    (
-                        t
-                        for i in range(m)
-                        if (t := self.times[i][j]) is not None
-                    ),
-                    default=None,
+                    (t for _, t in self.options[self.branched[k]]), default=0
                 )
-                suffix_cheapest[k] = suffix_cheapest[k + 1] + (
-                    cheapest if cheapest is not None else Fraction(0)
-                )
+                suffix_cheapest[k] = suffix_cheapest[k + 1] + cheapest
             self.suffix_cheapest = suffix_cheapest
             self.suffix_units = []
-        # empty-machine symmetry break, memoized: earlier machines with an
-        # identical processing-time row (recomputing the row comparison at
-        # every node is pure waste — the rows never change)
-        machine_rows = [tuple(self.times[i]) for i in range(m)]
+            # no completion exceeds every job on its slowest machine
+            self.unbounded = (
+                sum(max((t for _, t in opts), default=0) for opts in self.options)
+                + 1
+            )
+        # empty-machine symmetry break: earlier machines with an identical
+        # processing-time row
+        machine_rows = [tuple(row) for row in times]
         self.earlier_identical: list[tuple[int, ...]] = [
             tuple(
                 other
@@ -278,35 +374,27 @@ class _SearchContext:
 
 
 class _SharedIncumbent:
-    """The cross-process incumbent: an exactly scaled 64-bit makespan.
+    """The cross-process incumbent: the search's own scaled integer.
 
-    ``quantum`` is chosen so every reachable makespan times ``quantum``
-    is an integer (lcm of speed numerators for uniform instances, lcm
-    of time denominators for unrelated ones) — sharing is exact, never
-    rounded.  A value whose scaling is not integral is simply not
-    shared (pruning is weakened, correctness untouched).
+    Every search holds its incumbent as ``makespan * quantum`` (see
+    :class:`_SearchContext`), so the 64-bit cell carries exactly that
+    integer: offers and polls compare ints and never round.
     """
 
-    __slots__ = ("value", "lock", "quantum")
+    __slots__ = ("value", "lock")
 
-    def __init__(self, value: Any, lock: Any, quantum: int) -> None:
+    def __init__(self, value: Any, lock: Any) -> None:
         self.value = value
         self.lock = lock
-        self.quantum = quantum
 
-    def offer(self, makespan: Fraction) -> None:
-        num = makespan.numerator * self.quantum
-        if num % makespan.denominator:
-            return
-        scaled = num // makespan.denominator
+    def offer(self, scaled: int) -> None:
         with self.lock:
             if scaled < self.value.value:
                 self.value.value = scaled
 
-    def read(self) -> Fraction:
+    def read(self) -> int:
         with self.lock:
-            raw = int(self.value.value)
-        return Fraction(raw, self.quantum)
+            return int(self.value.value)
 
 
 def _run_search(
@@ -320,60 +408,84 @@ def _run_search(
     Returns ``(found_makespan, found_assignment, nodes)`` where the
     found pair is the best *materialised* schedule strictly better than
     every incumbent seen (``None`` when the subtree holds nothing
-    better).  With ``prefix=()`` and ``shared=None`` this is exactly
-    the pre-parallel sequential search — same tree, same node count.
+    better).  With ``prefix=()`` and ``shared=None`` this is the
+    sequential search.
+
+    Inside, completions are ints on the ``quantum`` grid and machine job
+    sets are bitmasks.  The incumbent ``best`` is held as ``limit =
+    ceil(best * quantum)``: a grid value ``C`` satisfies ``C < best``
+    exactly when ``C < limit``.
     """
-    instance = ctx.instance
     uniform = ctx.uniform
     speeds = ctx.speeds
+    speed_scale = ctx.speed_scale
     p = ctx.p
+    quantum = ctx.quantum
     times = ctx.times
-    neighbor_sets = ctx.neighbor_sets
+    neighbor_masks = ctx.neighbor_masks
     branched = ctx.branched
+    depth = len(branched)
     tail = ctx.tail
     tail_units = ctx.tail_units
     suffix_units = ctx.suffix_units
     suffix_cheapest = ctx.suffix_cheapest
     earlier_identical = ctx.earlier_identical
+    pending = [(neighbor_masks[j], ctx.options[j]) for j in branched]
     n, m = ctx.n, ctx.m
+    columns = [[times[i][j] for i in range(m)] for j in range(n)]
 
+    limit = 0
+    volume_limit = 0  # ceil(m * best * quantum): the unrelated volume prune
+    thresholds: list[int] = []  # the uniform capacity prune's c_i
+
+    def set_incumbent(num: int, den: int) -> None:
+        """Make ``best`` with ``best * quantum == num / den`` the incumbent."""
+        nonlocal limit, volume_limit, thresholds
+        limit = _ceil_div(num, den)
+        volume_limit = _ceil_div(m * num, den)
+        thresholds = _cover_thresholds(speed_scale, num, den)
+
+    if incumbent_makespan is None:
+        # no incumbent: a limit above every reachable value prunes nothing
+        set_incumbent(ctx.unbounded, 1)
+    else:
+        set_incumbent(
+            incumbent_makespan.numerator * quantum, incumbent_makespan.denominator
+        )
+
+    found: int | None = None
     best_assignment: list[int] | None = None
-    best_makespan: Fraction | None = incumbent_makespan
-    found_makespan: Fraction | None = None
-    completions: list[Fraction] = [Fraction(0)] * m
+    completions: list[int] = [0] * m
     unit_loads: list[int] = [0] * m  # integer units per machine (uniform)
-    machine_jobs: list[set[int]] = [set() for _ in range(m)]
+    machine_masks: list[int] = [0] * m
     assignment: list[int] = [-1] * n
     nodes = 0
 
     for k, i in enumerate(prefix):
         j = branched[k]
         t = times[i][j]
-        if t is None or machine_jobs[i] & neighbor_sets[j]:
+        if t is None or machine_masks[i] & neighbor_masks[j]:
             raise ReproError(
                 f"infeasible oracle subtree prefix: job {j} on machine {i}"
             )
         completions[i] += t
-        machine_jobs[i].add(j)
+        machine_masks[i] |= 1 << j
         assignment[j] = i
         if uniform:
             unit_loads[i] += p[j]
 
-    def _finish_tail() -> None:
-        """Exactly place the isolated unit tail on the current loads."""
-        nonlocal best_assignment, best_makespan, found_makespan
+    def finish() -> None:
+        """Record the leaf, already known to beat the incumbent."""
+        nonlocal found, best_assignment
         if tail_units:
+            # the isolated unit tail's exact span on the current loads
             span = min_cover_time_with_loads(speeds, unit_loads, tail_units)
-        else:
-            span = max(completions)
-        if best_makespan is not None and span >= best_makespan:
-            return
-        if tail_units:
-            # materialise greedily within the proven span: machine i can
-            # absorb floor(s_i * span) - load_i more units
+            scaled = span.numerator * quantum // span.denominator
+            # materialise greedily within the span: machine i can absorb
+            # floor(s_i * span) - load_i more units
             slack = [
-                floor_fraction(speeds[i] * span) - unit_loads[i]
-                for i in range(m)
+                sn * scaled // sd - load
+                for (sn, sd), load in zip(speed_scale, unit_loads)
             ]
             pos = 0
             for j in tail:
@@ -381,91 +493,77 @@ def _run_search(
                     pos += 1
                 assignment[j] = pos % m
                 slack[pos % m] -= 1
-        best_makespan = span
-        found_makespan = span
+        else:
+            scaled = max(completions)
+        found = scaled
+        set_incumbent(scaled, 1)
         best_assignment = assignment.copy()
         if shared is not None:
-            shared.offer(span)
-        if tail_units:
-            for j in tail:
-                assignment[j] = -1
-
-    def _prune_bound(pos: int) -> Fraction:
-        """An exact lower bound on any completion of the current node."""
-        bound = max(completions)
-        if uniform:
-            capacity = min_cover_time_with_loads(
-                speeds, unit_loads, suffix_units[pos]
-            )
-            if capacity > bound:
-                bound = capacity
-        else:
-            volume = sum(completions, suffix_cheapest[pos])
-            if volume / m > bound:
-                bound = volume / m
-        return bound
+            shared.offer(scaled)
+        for j in tail:
+            assignment[j] = -1
 
     def place(pos: int) -> None:
-        nonlocal best_assignment, best_makespan, nodes
-        if pos == len(branched):
-            _finish_tail()
+        nonlocal nodes
+        if pos < depth:
+            nodes += 1
+            if shared is not None and nodes % _PULL_EVERY == 0:
+                pulled = shared.read()
+                if pulled < limit:
+                    set_incumbent(pulled, 1)
+        # exact lower bounds on every completion of this node (at a leaf
+        # they decide whether the leaf, tail included, beats the incumbent)
+        if max(completions) >= limit:
             return
-        nodes += 1
-        if shared is not None and nodes % _PULL_EVERY == 0:
-            pulled = shared.read()
-            if best_makespan is None or pulled < best_makespan:
-                best_makespan = pulled
-        if best_makespan is not None and _prune_bound(pos) >= best_makespan:
+        if uniform:
+            if _capacity_prunes(thresholds, unit_loads, suffix_units[pos]):
+                return
+        elif sum(completions) + suffix_cheapest[pos] >= volume_limit:
+            return
+        if pos == depth:
+            finish()
             return
         # every unassigned branched job must retain a viable machine
-        for k in range(pos, len(branched)):
-            jj = branched[k]
-            viable = False
-            jj_neighbors = neighbor_sets[jj]
-            for i in range(m):
-                t = times[i][jj]
-                if t is None or machine_jobs[i] & jj_neighbors:
-                    continue
-                if (
-                    best_makespan is not None
-                    and completions[i] + t >= best_makespan
-                ):
-                    continue
-                viable = True
-                break
-            if not viable:
+        for nbr, options in pending[pos:]:
+            for i, t in options:
+                if not (machine_masks[i] & nbr) and completions[i] + t < limit:
+                    break
+            else:
                 return
         j = branched[pos]
-        neighbors = neighbor_sets[j]
-        for i in sorted(range(m), key=lambda i: completions[i]):
-            t = times[i][j]
-            if t is None or machine_jobs[i] & neighbors:
+        nbr = neighbor_masks[j]
+        bit = 1 << j
+        p_j = p[j] if uniform else 0
+        row = columns[j]
+        for i in sorted(range(m), key=completions.__getitem__):
+            t = row[i]
+            if t is None or machine_masks[i] & nbr:
                 continue
-            if not machine_jobs[i] and _earlier_equivalent_empty(i):
+            if not machine_masks[i] and _earlier_equivalent_empty(i):
                 continue
             done = completions[i] + t
-            if best_makespan is not None and done >= best_makespan:
+            if done >= limit:
                 continue
             completions[i] = done
-            machine_jobs[i].add(j)
+            machine_masks[i] |= bit
             assignment[j] = i
-            if uniform:
-                unit_loads[i] += p[j]
+            unit_loads[i] += p_j
             place(pos + 1)
             completions[i] = done - t
-            machine_jobs[i].remove(j)
+            machine_masks[i] ^= bit
             assignment[j] = -1
-            if uniform:
-                unit_loads[i] -= p[j]
+            unit_loads[i] -= p_j
 
     def _earlier_equivalent_empty(i: int) -> bool:
         for other in earlier_identical[i]:
-            if not machine_jobs[other]:
+            if not machine_masks[other]:
                 return True
         return False
 
     place(len(prefix))
-    return found_makespan, best_assignment, nodes
+    if found is None:
+        return None, None, nodes
+    return Fraction(found, quantum), best_assignment, nodes
 
 
 # --------------------------------------------------------------------- #
@@ -486,22 +584,6 @@ def _effective_workers(workers: int) -> int:
     if multiprocessing.current_process().daemon:
         return 1
     return int(workers)
-
-
-def _incumbent_quantum(ctx: _SearchContext) -> int:
-    """The exact scaling factor for the shared integer incumbent.
-
-    Every reachable makespan is ``load * den_i / num_i`` (uniform; the
-    capacity-bound tail spans hit the same grid) or a sum of processing
-    times (unrelated), so multiplying by the lcm of the speed
-    numerators resp. time denominators always lands on an integer.
-    """
-    if ctx.uniform:
-        return math.lcm(*(s.numerator for s in ctx.speeds))
-    dens = [
-        t.denominator for row in ctx.times for t in row if t is not None
-    ]
-    return math.lcm(*dens) if dens else 1
 
 
 def _scale_exact(value: Fraction, quantum: int) -> int | None:
@@ -530,32 +612,35 @@ def _enumerate_prefixes(
     """
     if not ctx.branched:
         return [()], 0
+    limit = _ceil_div(
+        incumbent_makespan.numerator * ctx.quantum, incumbent_makespan.denominator
+    )
     prefixes: list[tuple[int, ...]] = [()]
     explored = 0
     depth = 0
     while depth < 2 and depth < len(ctx.branched) and len(prefixes) < want:
         nxt: list[tuple[int, ...]] = []
         for prefix in prefixes:
-            completions = [Fraction(0)] * ctx.m
-            machine_jobs: list[set[int]] = [set() for _ in range(ctx.m)]
+            completions = [0] * ctx.m
+            machine_masks = [0] * ctx.m
             for k, i in enumerate(prefix):
                 t = ctx.times[i][ctx.branched[k]]
                 if t is None:  # pragma: no cover - filtered at creation
                     raise ReproError("forbidden pair in an oracle prefix")
                 completions[i] += t
-                machine_jobs[i].add(ctx.branched[k])
+                machine_masks[i] |= 1 << ctx.branched[k]
             explored += 1
             j = ctx.branched[depth]
-            neighbors = ctx.neighbor_sets[j]
-            for i in sorted(range(ctx.m), key=lambda i: completions[i]):
+            neighbors = ctx.neighbor_masks[j]
+            for i in sorted(range(ctx.m), key=completions.__getitem__):
                 t = ctx.times[i][j]
-                if t is None or machine_jobs[i] & neighbors:
+                if t is None or machine_masks[i] & neighbors:
                     continue
-                if not machine_jobs[i] and any(
-                    not machine_jobs[o] for o in ctx.earlier_identical[i]
+                if not machine_masks[i] and any(
+                    not machine_masks[o] for o in ctx.earlier_identical[i]
                 ):
                     continue
-                if completions[i] + t >= incumbent_makespan:
+                if completions[i] + t >= limit:
                     continue
                 nxt.append(prefix + (i,))
         if len(nxt) > _MAX_SUBTREES:
@@ -571,9 +656,7 @@ _WORKER_CTX: _SearchContext | None = None
 _WORKER_SHARED: _SharedIncumbent | None = None
 
 
-def _subtree_init(
-    payload: dict[str, Any], value: Any, lock: Any, quantum: int
-) -> None:
+def _subtree_init(payload: dict[str, Any], value: Any, lock: Any) -> None:
     """Worker-process initializer: rebuild the search context once.
 
     The instance travels as its JSON dict
@@ -586,7 +669,7 @@ def _subtree_init(
     from repro.io.serialization import instance_from_dict
 
     _WORKER_CTX = _SearchContext(instance_from_dict(payload))
-    _WORKER_SHARED = _SharedIncumbent(value, lock, quantum)
+    _WORKER_SHARED = _SharedIncumbent(value, lock)
 
 
 def _solve_subtree(
@@ -599,7 +682,9 @@ def _solve_subtree(
     ctx, shared = _WORKER_CTX, _WORKER_SHARED
     if ctx is None or shared is None:  # pragma: no cover - initializer ran
         raise ReproError("oracle subtree worker used before initialization")
-    return _run_search(ctx, shared.read(), prefix=prefix, shared=shared)
+    return _run_search(
+        ctx, Fraction(shared.read(), ctx.quantum), prefix=prefix, shared=shared
+    )
 
 
 def _parallel_certified(
@@ -619,8 +704,7 @@ def _parallel_certified(
     """
     from repro.io.serialization import instance_to_dict
 
-    quantum = _incumbent_quantum(ctx)
-    seed_scaled = _scale_exact(incumbent.makespan, quantum)
+    seed_scaled = _scale_exact(incumbent.makespan, ctx.quantum)
     if seed_scaled is None:
         return None
     prefixes, explored = _enumerate_prefixes(
@@ -639,13 +723,18 @@ def _parallel_certified(
         max_workers=min(workers, len(prefixes)),
         mp_context=mp_ctx,
         initializer=_subtree_init,
-        initargs=(payload, value, lock, quantum),
+        initargs=(payload, value, lock),
     )
+    futures: dict[Future[Any], int] = {}
     try:
-        futures = {
-            pool.submit(_solve_subtree, (k, prefix)): k
-            for k, prefix in enumerate(prefixes)
-        }
+        for k, prefix in enumerate(prefixes):
+            try:
+                futures[pool.submit(_solve_subtree, (k, prefix))] = k
+            except BrokenProcessPool:
+                # a worker died before every subtree was handed out:
+                # the rest are searched in-process below
+                failed.extend(range(k, len(prefixes)))
+                break
         for future, k in futures.items():
             try:
                 results[k] = future.result()

@@ -157,9 +157,12 @@ def certified_optimal_baseline(instance: SchedulingInstance) -> OracleResult:
     Identical search strategy to
     :func:`repro.certify.oracle.certified_optimal` — same incumbent
     seeding, same branch order, same pruning rules — but with the costs
-    the optimization removed: per-node recomputation of the unrelated
-    volume bound, per-visit ``graph.neighbors`` lookups, and pairwise
-    machine-row comparisons in the empty-machine symmetry break.
+    the optimizations removed: ``Fraction`` completions and incumbents,
+    a full :func:`~repro.scheduling.bounds.min_cover_time_with_loads`
+    call as the capacity bound at every uniform node, per-node
+    recomputation of the unrelated volume bound, per-visit
+    ``graph.neighbors`` lookups, and pairwise machine-row comparisons in
+    the empty-machine symmetry break.
     Explores the same node set, so equivalence tests compare makespan
     *and* node count.
 

@@ -13,6 +13,7 @@ CI runs the ``smoke`` shapes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Any, Callable
 
 import numpy as np
@@ -172,7 +173,13 @@ def _scenario_list_scheduling(repeat: int, warmup: int, smoke: bool) -> Scenario
 
 
 def _scenario_oracle(repeat: int, warmup: int, smoke: bool) -> ScenarioOutcome:
-    """Exact oracle: memoized bounds/eligibility vs per-node recomputation."""
+    """Exact oracle: the scaled-integer search vs the rational reference.
+
+    Every case must explore the reference's tree (same makespan, same
+    node count).  The rational-speed Q case runs in the smoke set too,
+    so CI's equivalence check covers the capacity thresholds
+    ``ceil(s_i * best) - 1`` on a grid finer than the integers.
+    """
     from repro.certify.oracle import certified_optimal
     from repro.machines.profiles import geometric_speeds
     from repro.random_graphs.gilbert import gnnp
@@ -186,6 +193,12 @@ def _scenario_oracle(repeat: int, warmup: int, smoke: bool) -> ScenarioOutcome:
         instances.append(
             (f"Q n={graph.n} m={m}", UniformInstance(graph, p, geometric_speeds(m, 2)))
         )
+    rational = [Fraction(5, 3), Fraction(3, 2), Fraction(1)]
+    graph = gnnp(6, 0.3, seed=11)
+    p = [int(x) for x in np.random.default_rng(7).integers(1, 9, graph.n)]
+    instances.append(
+        (f"Q n={graph.n} m=3 s=5/3,3/2,1", UniformInstance(graph, p, rational))
+    )
     for n_side, m in [] if smoke else [(5, 3), (6, 3)]:
         graph = gnnp(n_side, 0.3, seed=13)
         times = [[int(x) for x in rng.integers(1, 15, graph.n)] for _ in range(m)]
@@ -219,8 +232,10 @@ def _scenario_oracle(repeat: int, warmup: int, smoke: bool) -> ScenarioOutcome:
             [*_COLUMNS, "nodes"],
             rows,
             phases=phases,
-            notes="memoized volume/eligibility/symmetry structures vs the "
-            "per-node recomputing reference (identical search trees); "
+            notes="branch and bound on scaled integers (int completions, "
+            "bitmask machine sets, O(m) integer capacity prune) vs the "
+            "Fraction reference that recomputes the capacity bound per node "
+            "(identical search trees); "
             f"medians of repeat={repeat} after warmup={warmup}",
         ),
         profile_fn=lambda: certified_optimal(largest),

@@ -79,6 +79,21 @@ class TestMatchesBruteForce:
                 continue
             assert certified_optimal_makespan(pinned) == naive
 
+    def test_masked_isolated_unit_jobs_are_branched(self):
+        # isolated unit jobs allowed only on the slow machine: the
+        # capacity-bound tail ignores eligibility, so they must be
+        # branched on rather than placed greedily on any machine
+        from repro.graphs.bipartite import BipartiteGraph
+
+        graph = BipartiteGraph(6, [(0, 1)], side=[0, 1, 0, 0, 0, 0])
+        inst = UniformInstance(
+            graph, [3, 3, 1, 1, 1, 1], [2, 1],
+            eligible=[None, None, [1], [1], [1], [1]],
+        )
+        result = certified_optimal(inst)
+        assert result.schedule.is_feasible()
+        assert result.makespan == brute_force_makespan(inst) == 7
+
 
 class TestProofMetadata:
     def test_bound_tight_fast_path(self):

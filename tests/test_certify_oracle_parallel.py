@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import json
 import multiprocessing
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from fractions import Fraction
 from pathlib import Path
 
@@ -23,7 +25,6 @@ from repro.certify.oracle import (
     _SearchContext,
     _effective_workers,
     _enumerate_prefixes,
-    _incumbent_quantum,
     _scale_exact,
 )
 from repro.exceptions import InfeasibleInstanceError
@@ -141,7 +142,7 @@ def test_infeasible_instance_raises_with_workers():
 def test_incumbent_quantum_is_exact():
     instance = _hard_instance()
     ctx = _SearchContext(instance)
-    quantum = _incumbent_quantum(ctx)
+    quantum = ctx.quantum
     seq = certified_optimal(instance)
     scaled = _scale_exact(seq.makespan, quantum)
     assert scaled is not None
@@ -168,3 +169,26 @@ def test_prefix_enumeration_covers_root():
         for rank, machine in enumerate(prefix):
             assert 0 <= machine < instance.m
             assert ctx.times[machine][ctx.branched[rank]] is not None
+
+
+def test_pool_broken_during_submit_falls_back(monkeypatch):
+    """A worker that dies before every subtree is handed out makes
+    ``submit`` raise ``BrokenProcessPool``; the unsubmitted prefixes must
+    be re-searched in-process instead of the error escaping."""
+    instance = _hard_instance()
+    seq = certified_optimal(instance)
+    original = ProcessPoolExecutor.submit
+    calls = []
+
+    def submit_then_break(self, fn, *args, **kwargs):
+        calls.append(fn)
+        if len(calls) > 1:
+            raise BrokenProcessPool("a worker died before submission")
+        return original(self, fn, *args, **kwargs)
+
+    monkeypatch.setattr(ProcessPoolExecutor, "submit", submit_then_break)
+    par = certified_optimal(instance, workers=2)
+    assert len(calls) == 2
+    assert par.makespan == seq.makespan
+    assert par.schedule.is_feasible()
+    assert multiprocessing.active_children() == []

@@ -9,6 +9,7 @@ speedups meaningful.
 from __future__ import annotations
 
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +18,8 @@ from repro.certify.oracle import certified_optimal
 from repro.graphs.bipartite import BipartiteGraph
 from repro.graphs.generators import empty_graph
 from repro.graphs.matching import hopcroft_karp, is_matching
+from repro.io.jsonl import read_jsonl
+from repro.io.serialization import instance_from_dict
 from repro.machines.profiles import geometric_speeds, power_law_speeds
 from repro.perf.baselines import (
     assign_group_greedy_baseline,
@@ -114,6 +117,65 @@ def test_oracle_identical_search_to_baseline_unrelated(rng):
         a = certified_optimal(inst)
         b = certified_optimal_baseline(inst)
         assert (a.makespan, a.nodes, a.proof) == (b.makespan, b.nodes, b.proof)
+
+
+def _same_search(inst) -> int:
+    a = certified_optimal(inst)
+    b = certified_optimal_baseline(inst)
+    assert (a.makespan, a.nodes, a.proof) == (b.makespan, b.nodes, b.proof)
+    return a.nodes
+
+
+def test_oracle_identical_search_to_baseline_rational_speeds(rng):
+    # non-integer speeds put the scaled grid (quantum = lcm of the speed
+    # numerators) and the capacity thresholds ceil(s_i * best) - 1 to work;
+    # unit jobs feed the isolated tail
+    speeds = [Fraction(5, 3), Fraction(3, 2), Fraction(1)]
+    nodes = 0
+    for _ in range(20):
+        g = random_bipartite(rng, max_side=6)
+        p = [1 if rng.random() < 0.3 else int(rng.integers(2, 8)) for _ in range(g.n)]
+        nodes += _same_search(UniformInstance(g, p, speeds))
+    assert nodes > 0
+
+
+def test_oracle_identical_search_to_baseline_fraction_times(rng):
+    nodes = 0
+    for _ in range(12):
+        g = random_bipartite(rng, max_side=4)
+        times = [
+            [
+                None
+                if i > 0 and rng.random() < 0.15
+                else Fraction(int(rng.integers(1, 15)), int(rng.integers(1, 5)))
+                for _ in range(g.n)
+            ]
+            for i in range(3)
+        ]
+        nodes += _same_search(UnrelatedInstance(g, times))
+    assert nodes > 0
+
+
+# the two frozen records the oracle needs more than five seconds for
+_CORPUS_BEYOND_REACH = {"runheavy-two-group-sizes2-4", "runheavy-two-group-sizes3-5"}
+
+
+def test_oracle_identical_search_to_baseline_on_frozen_corpus():
+    """Every frozen corpus record the oracle proves in under a second
+    explores the baseline's tree, node for node."""
+    corpus = (
+        Path(__file__).resolve().parent
+        / "fixtures"
+        / "differential"
+        / "corpus.jsonl"
+    )
+    checked = 0
+    for record in read_jsonl(corpus):
+        if record["id"] in _CORPUS_BEYOND_REACH:
+            continue
+        _same_search(instance_from_dict(record["instance"]))
+        checked += 1
+    assert checked >= 60
 
 
 def _fanout_tasks(runs: int, per_run: int):
